@@ -123,35 +123,6 @@ pub fn render(
     stage_lines(&mut out, "commit_resolve", &stages.resolve);
     stage_lines(&mut out, "commit_mitigate", &stages.mitigate);
 
-    // -- worker occupancy ---------------------------------------------
-    out.push_str("# HELP artemis_workers Detection worker threads configured.\n");
-    out.push_str("# TYPE artemis_workers gauge\n");
-    let _ = writeln!(out, "artemis_workers {}", status.workers.workers);
-    out.push_str("# HELP artemis_worker_parallel_batches_total Batches classified in parallel.\n");
-    out.push_str("# TYPE artemis_worker_parallel_batches_total counter\n");
-    let _ = writeln!(
-        out,
-        "artemis_worker_parallel_batches_total {}",
-        status.workers.parallel_batches
-    );
-    out.push_str(
-        "# HELP artemis_worker_sequential_batches_total Batches classified sequentially.\n",
-    );
-    out.push_str("# TYPE artemis_worker_sequential_batches_total counter\n");
-    let _ = writeln!(
-        out,
-        "artemis_worker_sequential_batches_total {}",
-        status.workers.sequential_batches
-    );
-    out.push_str("# HELP artemis_worker_events_total Events classified per worker slot.\n");
-    out.push_str("# TYPE artemis_worker_events_total counter\n");
-    for (slot, events) in status.workers.per_worker_events.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "artemis_worker_events_total{{worker=\"{slot}\"}} {events}"
-        );
-    }
-
     // -- feed lag ------------------------------------------------------
     out.push_str("# HELP artemis_feed_events_emitted_total Events emitted per attached feed.\n");
     out.push_str("# TYPE artemis_feed_events_emitted_total counter\n");
@@ -330,7 +301,6 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_core::pipeline::WorkerStatus;
     use artemis_simnet::SimTime;
 
     fn empty_status() -> ServiceStatus {
@@ -342,7 +312,6 @@ mod tests {
             owned: Vec::new(),
             incidents: Vec::new(),
             feeds: Vec::new(),
-            workers: WorkerStatus::default(),
         }
     }
 

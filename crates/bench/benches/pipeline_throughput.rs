@@ -1,7 +1,6 @@
 //! Macro-bench: feed-event ingestion throughput through the
 //! `FeedHub` → sharded `Detector` pipeline, batch vs per-event — plus
-//! a **worker-count axis** over the assembled `Pipeline`'s parallel
-//! execution mode (`PipelineConfig::workers`).
+//! the assembled `Pipeline`'s batched delivery.
 //!
 //! Both paths must deliver events to the detector in emission order
 //! (its contract). The batch path is the pipeline's implementation:
@@ -14,18 +13,14 @@
 //! event payload, popped one event at a time. ≥100k synthetic events
 //! per iteration.
 //!
-//! The worker axis pre-queues the same 100k events into the hub
-//! (untimed per iteration would be ideal; under criterion the
-//! ingest+drain is included identically for every worker count, so
-//! relative scaling is preserved) and drains them through
-//! `Pipeline::deliver_due` with 1/2/4/8 classification workers. The
-//! committed perf trajectory (`BENCH_pipeline.json`) is produced by
-//! the `pipeline_bench` binary, which times *only* the drain.
+//! The pipeline bench queues the same 100k events into the hub and
+//! delivers them through `Pipeline::deliver_due`: ingest, drain,
+//! classify and the staged commit, all on one thread.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_bgpsim::{BestRoute, RouteChange};
 use artemis_controller::Controller;
-use artemis_core::{ArtemisConfig, Detector, OwnedPrefix, Pipeline, PipelineConfig};
+use artemis_core::{ArtemisConfig, Detector, OwnedPrefix, Pipeline};
 use artemis_feeds::vantage::group_into_collectors;
 use artemis_feeds::{FeedEvent, FeedHub, StreamFeed};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
@@ -160,27 +155,20 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
 
-    // ---- Worker-count axis over the assembled Pipeline --------------
-    for workers in [1usize, 2, 4, 8] {
-        let name = format!("deliver_due_100k_events_workers_{workers}");
-        group.bench_function(&name, |b| {
-            b.iter(|| {
-                let mut pipeline =
-                    Pipeline::new(hub(), config(), [Asn(174), Asn(3356)].into_iter().collect())
-                        .with_pipeline_config(PipelineConfig {
-                            workers,
-                            parallel_threshold: 128,
-                        });
-                let mut ctrl =
-                    Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
-                pipeline.ingest_route_changes(&changes);
-                let delivered =
-                    pipeline.deliver_due(SimTime::from_micros(u64::MAX), &mut ctrl, &mut []);
-                assert_eq!(delivered, EVENTS);
-                black_box(pipeline.detector().events_processed())
-            })
-        });
-    }
+    // ---- The assembled Pipeline ---------------------------------------
+    group.bench_function("deliver_due_100k_events", |b| {
+        b.iter(|| {
+            let mut pipeline =
+                Pipeline::new(hub(), config(), [Asn(174), Asn(3356)].into_iter().collect());
+            let mut ctrl =
+                Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
+            pipeline.ingest_route_changes(&changes);
+            let delivered =
+                pipeline.deliver_due(SimTime::from_micros(u64::MAX), &mut ctrl, &mut []);
+            assert_eq!(delivered, EVENTS);
+            black_box(pipeline.detector().events_processed())
+        })
+    });
 
     group.finish();
 }

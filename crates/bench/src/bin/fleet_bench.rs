@@ -38,7 +38,7 @@
 use artemis_bgp::{AsPath, Asn, FlatTrie, Prefix, PrefixTrie};
 use artemis_bgpsim::{BestRoute, RouteChange};
 use artemis_controller::Controller;
-use artemis_core::{ArtemisConfig, OwnedPrefix, Pipeline, PipelineConfig};
+use artemis_core::{ArtemisConfig, OwnedPrefix, Pipeline};
 use artemis_feeds::vantage::group_into_collectors;
 use artemis_feeds::{FeedHub, StreamFeed};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
@@ -189,18 +189,14 @@ const FRONT_SUBSTAGES: [&str; 4] = [
 ];
 
 /// Wave-delivered churn through a fleet-sized pipeline; the timed
-/// region is the full hot path — parallel feed ingest, merge-queue
-/// drain, (parallel) classification and the in-order commit.
-fn run_churn(owned: &[Prefix], route_changes: &[RouteChange], workers: usize) -> ChurnResult {
+/// region is the full hot path — feed ingest, merge-queue drain,
+/// classification and the in-order commit, all on one thread.
+fn run_churn(owned: &[Prefix], route_changes: &[RouteChange]) -> ChurnResult {
     let mut pipeline = Pipeline::new(
         hub(),
         config(owned),
         [Asn(174), Asn(3356)].into_iter().collect(),
-    )
-    .with_pipeline_config(PipelineConfig {
-        workers,
-        parallel_threshold: PipelineConfig::ADAPTIVE,
-    });
+    );
     let mut ctrl = Controller::new(Asn(OPERATOR), LatencyModel::const_secs(15), SimRng::new(1));
 
     let mut events = 0u64;
@@ -432,11 +428,10 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let workers = cores.clamp(1, 8);
 
     println!(
         "fleet_bench: {n_owned} owned prefixes, {n_changes} route changes{}, {} mode, \
-         {cores} core(s), workers={workers}",
+         {cores} core(s), workers=1",
         if deagg { " (deaggregation mix)" } else { "" },
         if smoke { "smoke" } else { "full" }
     );
@@ -450,7 +445,7 @@ fn main() {
         lpm.boxed_ns, lpm.flat_ns, lpm.speedup, lpm.hits
     );
 
-    let run = run_churn(&owned, &route_changes, workers);
+    let run = run_churn(&owned, &route_changes);
     let events_per_sec = run.events as f64 / run.secs;
     let bytes_per_owned = run.routing_bytes as f64 / n_owned as f64;
     println!(
@@ -511,8 +506,8 @@ fn main() {
          \"owned_prefixes\": {n_owned},\n  \"churn_changes\": {n_changes},\n  \
          \"deagg_mix\": {deagg},\n  \
          \"events_delivered\": {events},\n  \"events_per_sec\": {eps:.0},\n  \
-         \"alerts_raised\": {alerts},\n  \"workers\": {workers},\n  \"host_cores\": {cores},\n  \
-         \"timed_region\": \"ingest (parallel feed synthesis) + drain + classify + staged in-order commit, in {wave}-change waves\",\n  \
+         \"alerts_raised\": {alerts},\n  \"workers\": 1,\n  \"host_cores\": {cores},\n  \
+         \"timed_region\": \"ingest (feed synthesis) + drain + classify + staged in-order commit on one thread, in {wave}-change waves\",\n  \
          \"stage_p99_batch_nanos\": {{ \"drain\": {p0}, \"classify\": {p1}, \"commit\": {p2} }},\n  \
          \"stage_mean_batch_nanos\": {{ \"drain\": {m0}, \"classify\": {m1}, \"commit\": {m2} }},\n  \
          \"commit_substages_p99_batch_nanos\": {{ {sp} }},\n  \
@@ -522,7 +517,7 @@ fn main() {
          \"fleet_churn\": {{ \"cycles\": {fcc}, \"offboard_ns_per_op\": {fco:.0}, \"onboard_ns_per_op\": {fcn:.0}, \"routing_epoch_advance\": {fce}, \"patches_per_cycle\": 2, \"routing_nodes_steady\": {fcs} }},\n  \
          \"routing\": {{ \"nodes\": {nodes}, \"bytes\": {bytes}, \"bytes_per_owned_prefix\": {bpo:.1} }},\n  \
          \"lpm_microbench\": {{ \"queries\": {queries}, \"hits\": {hits}, \"boxed_ns_per_lookup\": {bns:.1}, \"flat_ns_per_lookup\": {fns:.1}, \"flat_speedup_vs_boxed\": {spd:.2} }},\n  \
-         \"note\": \"LPM microbench is single-threaded; churn throughput uses the worker pool and scales with cores\"\n}}\n",
+         \"note\": \"LPM microbench and churn both run on one thread; churn throughput does not scale with cores\"\n}}\n",
         mode = if smoke { "smoke" } else { "full" },
         events = run.events,
         eps = events_per_sec,

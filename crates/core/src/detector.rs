@@ -18,17 +18,17 @@
 //! the owning shard and classify it against that shard's rules — a
 //! pure read) and a *commit* phase (per-shard event accounting, alert
 //! dedup against the shard's open alerts, RPKI annotation). The
-//! classification phase is exposed through [`ClassifyContext`] /
-//! [`Detector::prepare`] so the parallel pipeline can fan it out to
-//! worker threads; [`Detector::process_prepared`] then commits the
-//! precomputed outcome in deterministic batch order.
-//! [`Detector::process`] is the fused sequential path — it classifies
-//! against live state and commits immediately, and the split is
-//! guaranteed to agree with it: classification rules are shared
-//! copy-on-write, and any rules mutation mid-batch (a mitigation
-//! registering an expected announcement, a squatting plan activating
-//! a dormant prefix) marks the shard *dirty* so stale precomputed
-//! classifications are recomputed at commit time.
+//! batched pipeline classifies a whole drained batch up front with
+//! [`Detector::prepare`] in one tight pass, on the same thread that
+//! later commits it: the routing trie and shard rules stay hot in
+//! cache across the batch. [`Detector::process_prepared`] then commits
+//! the precomputed outcomes in batch order. [`Detector::process`] is
+//! the fused per-event path — it classifies against live state and
+//! commits immediately — and the split is guaranteed to agree with
+//! it: any rules mutation mid-batch (a mitigation registering an
+//! expected announcement, a squatting plan activating a dormant
+//! prefix) marks the shard *dirty* for the current batch, so stale
+//! precomputed classifications are recomputed at commit time.
 
 use crate::alert::{AlertId, AlertStore};
 use crate::classify::HijackType;
@@ -37,7 +37,6 @@ use artemis_bgp::{AsPath, Asn, FlatTrie, Prefix};
 use artemis_feeds::FeedEvent;
 use artemis_simnet::SimTime;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Outcome of feeding one event to the detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,12 +51,7 @@ pub enum Detection {
 
 /// The classification-relevant state of one shard: the owned prefix's
 /// legitimacy rules and the announcements we expect within its space.
-///
-/// Kept behind `Arc`s so worker threads can classify against an
-/// immutable snapshot while the main thread retains copy-on-write
-/// mutability (mutations between batches are free; mutations while a
-/// [`ClassifyContext`] is alive clone only the touched shard).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShardRules {
     /// The shard's owned prefix and its legitimacy rules.
     owned: OwnedPrefix,
@@ -67,7 +61,7 @@ struct ShardRules {
 
 impl ShardRules {
     /// Classify one event routed to this shard. Pure read — shared by
-    /// the sequential path and the parallel preparation phase.
+    /// the fused per-event path and the batch preparation pass.
     fn classify(
         &self,
         event: &FeedEvent,
@@ -134,15 +128,15 @@ impl ShardRules {
     }
 }
 
-/// Per-owned-prefix mutable accounting (main-thread only).
+/// Per-owned-prefix mutable accounting.
 ///
 /// Each configured prefix gets its own shard: the alerts raised for it
 /// (the dedup scope) and its event counter. The classification rules
-/// live separately in [`ShardRules`] so they can be shared with worker
-/// threads. Events are routed to exactly one shard via longest-prefix
-/// match, so concurrent incidents on different prefixes never contend
-/// on shared state and per-event work stays independent of how many
-/// prefixes an operator configures.
+/// live alongside in [`ShardRules`], at the same index. Events are
+/// routed to exactly one shard via longest-prefix match, so concurrent
+/// incidents on different prefixes never contend on shared state and
+/// per-event work stays independent of how many prefixes an operator
+/// configures.
 struct DetectorShard {
     /// Alerts raised for this shard (dedup scope).
     alerts: Vec<AlertId>,
@@ -164,7 +158,7 @@ pub struct RemovedShard {
 }
 
 /// Precomputed classification outcome for one event — the output of
-/// the thread-safe preparation phase, committed in batch order via
+/// the batch preparation pass, committed in batch order via
 /// [`Detector::process_prepared`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedEvent {
@@ -200,15 +194,11 @@ impl Default for PreparedEvent {
 /// responsible shard, plus a generation counter bumped on every
 /// onboard/offboard mutation.
 ///
-/// This is the *only* routing structure the detector keeps. Mutations
-/// go through `Arc::make_mut` — copy-on-write against any live
-/// [`ClassifyContext`] worker snapshot (which only lives within one
-/// batch, so steady-state mutation patches in place without copying) —
-/// and each one advances the epoch, so any holder can tell at a glance
-/// whether its snapshot is current.
-#[derive(Clone)]
+/// This is the *only* routing structure the detector keeps. Every
+/// mutation patches it in place and advances the epoch, so a reader
+/// can tell at a glance whether the routing it saw is still current.
 pub struct RoutingEpoch {
-    flat: Arc<FlatTrie<usize>>,
+    flat: FlatTrie<usize>,
     epoch: u64,
 }
 
@@ -235,32 +225,9 @@ impl RoutingEpoch {
     }
 }
 
-/// An owned, thread-safe snapshot of the detector's routing epoch and
-/// classification rules, for fanning [`ClassifyContext::prepare`] out
-/// to worker threads. Cheap to clone (two `Arc` bumps).
-#[derive(Clone)]
-pub struct ClassifyContext {
-    routing: RoutingEpoch,
-    rules: Arc<Vec<Arc<ShardRules>>>,
-}
-
-impl ClassifyContext {
-    /// Classify one event against the snapshot: route it to the
-    /// responsible shard (longest-prefix match) and run the shard's
-    /// legitimacy rules. Pure; safe to call from any thread.
-    pub fn prepare(&self, event: &FeedEvent) -> PreparedEvent {
-        prepare_with(|p| self.routing.route(p), &self.rules, event)
-    }
-
-    /// The routing epoch this snapshot was taken at.
-    pub fn epoch(&self) -> u64 {
-        self.routing.epoch()
-    }
-}
-
 fn prepare_with(
     route: impl Fn(Prefix) -> Option<usize>,
-    rules: &[Arc<ShardRules>],
+    rules: &[ShardRules],
     event: &FeedEvent,
 ) -> PreparedEvent {
     // Withdrawals never *raise* alerts (resolution is judged by the
@@ -288,9 +255,8 @@ fn prepare_with(
 pub struct Detector {
     operator_as: Asn,
     shards: Vec<DetectorShard>,
-    /// Classification rules per shard, shared copy-on-write with
-    /// worker-thread [`ClassifyContext`]s.
-    rules: Arc<Vec<Arc<ShardRules>>>,
+    /// Classification rules per shard (same index as `shards`).
+    rules: Vec<ShardRules>,
     /// Routes an observed prefix to the responsible shard (index into
     /// `shards`/`rules`) by longest-prefix match. The single source of
     /// truth: onboard/offboard patch it incrementally (O(affected
@@ -304,10 +270,13 @@ pub struct Detector {
     /// Optional RPKI table for alert annotation (extension).
     roa: Option<crate::roa::RoaTable>,
     events_processed: u64,
-    /// Shards whose rules changed since [`Detector::begin_batch`]:
-    /// batch-start [`PreparedEvent`]s for them are stale and commit by
+    /// Current batch generation, bumped by [`Detector::begin_batch`].
+    generation: u64,
+    /// Per-shard generation of the last rules change. A shard whose
+    /// stamp equals `generation` changed since the batch began: its
+    /// batch-start [`PreparedEvent`]s are stale and commit by
     /// re-classifying against live state instead.
-    dirty: Vec<bool>,
+    dirty_at: Vec<u64>,
 }
 
 impl Detector {
@@ -325,26 +294,25 @@ impl Detector {
                 expected.insert(o.prefix);
             }
             flat.insert(o.prefix, shards.len());
-            rules.push(Arc::new(ShardRules { owned: o, expected }));
+            rules.push(ShardRules { owned: o, expected });
             shards.push(DetectorShard {
                 alerts: Vec::new(),
                 events: 0,
             });
         }
-        let dirty = vec![false; shards.len()];
+        // Generation 1 with every stamp at 0: no shard starts dirty.
+        let dirty_at = vec![0; shards.len()];
         Detector {
             operator_as,
             shards,
-            rules: Arc::new(rules),
-            routing: RoutingEpoch {
-                flat: Arc::new(flat),
-                epoch: 0,
-            },
+            rules,
+            routing: RoutingEpoch { flat, epoch: 0 },
             store: AlertStore::new(),
             stray_expected: BTreeSet::new(),
             roa: None,
             events_processed: 0,
-            dirty,
+            generation: 1,
+            dirty_at,
         }
     }
 
@@ -365,17 +333,17 @@ impl Detector {
         if !owned.dormant {
             expected.insert(owned.prefix);
         }
-        Arc::make_mut(&mut self.routing.flat).insert(owned.prefix, self.shards.len());
+        self.routing.flat.insert(owned.prefix, self.shards.len());
         self.routing.epoch += 1;
         // Expectations that strayed because no shard covered them yet
         // (e.g. registered before onboarding) stay stray: they were
         // never consulted and re-registering is the caller's call.
-        Arc::make_mut(&mut self.rules).push(Arc::new(ShardRules { owned, expected }));
+        self.rules.push(ShardRules { owned, expected });
         self.shards.push(DetectorShard {
             alerts: Vec::new(),
             events: 0,
         });
-        self.dirty.push(true);
+        self.dirty_at.push(self.generation);
         true
     }
 
@@ -384,24 +352,24 @@ impl Detector {
     /// in-flight incidents). Events for the removed address space
     /// classify as "not our prefix" (benign) from now on.
     pub fn remove_shard(&mut self, owned: Prefix) -> Option<RemovedShard> {
-        let idx = Arc::make_mut(&mut self.routing.flat).remove(owned)?;
+        let idx = self.routing.flat.remove(owned)?;
         self.routing.epoch += 1;
         let shard = self.shards.swap_remove(idx);
-        let rules = Arc::make_mut(&mut self.rules).swap_remove(idx);
-        self.dirty.swap_remove(idx);
+        let rules = self.rules.swap_remove(idx);
+        self.dirty_at.swap_remove(idx);
         // `swap_remove` moved the former last shard into `idx`; its
         // routing entry must follow it.
         if idx < self.shards.len() {
             let moved_prefix = self.rules[idx].owned.prefix;
-            *Arc::make_mut(&mut self.routing.flat)
+            *self
+                .routing
+                .flat
                 .get_mut(moved_prefix)
                 .expect("moved shard stays routed") = idx;
-            self.dirty[idx] = true;
+            self.dirty_at[idx] = self.generation;
         }
         Some(RemovedShard {
-            owned: Arc::try_unwrap(rules)
-                .unwrap_or_else(|shared| (*shared).clone())
-                .owned,
+            owned: rules.owned,
             alerts: shard.alerts,
             events: shard.events,
         })
@@ -421,8 +389,8 @@ impl Detector {
     /// Mutable access to one shard's rules, marking the shard dirty so
     /// in-flight batch preparations re-classify at commit time.
     fn rules_mut(&mut self, idx: usize) -> &mut ShardRules {
-        self.dirty[idx] = true;
-        Arc::make_mut(&mut Arc::make_mut(&mut self.rules)[idx])
+        self.dirty_at[idx] = self.generation;
+        &mut self.rules[idx]
     }
 
     /// Register a prefix we are about to announce ourselves (e.g. the
@@ -481,14 +449,12 @@ impl Detector {
         &mut self.store
     }
 
-    // ---- Two-phase (parallel) processing ----------------------------
+    // ---- Two-phase (batched) processing -----------------------------
 
-    /// The current routing epoch handle: the incremental flat routing
-    /// structure plus its generation stamp. Cheap to clone (one `Arc`
-    /// bump); shared with [`ClassifyContext`] worker snapshots and the
-    /// pipeline's monitor index.
-    pub fn routing_epoch(&self) -> RoutingEpoch {
-        self.routing.clone()
+    /// The current routing epoch: the incremental flat routing
+    /// structure plus its generation stamp.
+    pub fn routing_epoch(&self) -> &RoutingEpoch {
+        &self.routing
     }
 
     /// Nodes in the flattened routing structure (capacity gauge).
@@ -511,29 +477,20 @@ impl Detector {
             .map(|idx| &self.rules[*idx].owned)
     }
 
-    /// An owned snapshot of the routing epoch and per-shard rules for
-    /// worker threads (two `Arc` bumps; no copying).
-    pub fn classify_context(&self) -> ClassifyContext {
-        ClassifyContext {
-            routing: self.routing.clone(),
-            rules: Arc::clone(&self.rules),
-        }
-    }
-
-    /// Classify one event against live state without committing it —
-    /// the single-threaded equivalent of [`ClassifyContext::prepare`].
+    /// Classify one event against live state without committing it.
     pub fn prepare(&self, event: &FeedEvent) -> PreparedEvent {
         prepare_with(|p| self.routing.route(p), &self.rules, event)
     }
 
     /// Start a new commit batch: forget which shards were dirtied by
-    /// earlier batches. Returns the routing epoch the batch classifies
-    /// under — onboard/offboard between batches already patched the
-    /// flat structure in place, so there is nothing to rebuild. Call
-    /// once per batch, *before* preparing events against the current
-    /// rules snapshot.
+    /// earlier batches. O(1): the batch generation advances, and only
+    /// shards stamped with the new generation count as dirty. Returns
+    /// the routing epoch the batch classifies under — onboard/offboard
+    /// between batches already patched the flat structure in place, so
+    /// there is nothing to rebuild. Call once per batch, *before*
+    /// preparing its events.
     pub fn begin_batch(&mut self) -> u64 {
-        self.dirty.iter_mut().for_each(|d| *d = false);
+        self.generation += 1;
         self.routing.epoch
     }
 
@@ -552,7 +509,7 @@ impl Detector {
         };
         let idx = idx as usize;
         self.shards[idx].events += 1;
-        let (hijack_type, observed_origin) = if self.dirty[idx] {
+        let (hijack_type, observed_origin) = if self.dirty_at[idx] == self.generation {
             let as_path = event.as_path.as_ref().expect("routed events carry a path");
             let origin = event.origin_as.or_else(|| as_path.origin());
             (self.rules[idx].classify(event, as_path, origin), origin)
@@ -569,7 +526,7 @@ impl Detector {
     /// [`Detector::process_prepared`], except the dirty check is
     /// skipped: this classification is against live state by
     /// definition, and per-event drivers never call
-    /// [`Detector::begin_batch`], so a stale dirty bit must not force
+    /// [`Detector::begin_batch`], so a stale dirty stamp must not force
     /// a redundant second classification on every call.
     pub fn process(&mut self, event: &FeedEvent) -> Detection {
         self.events_processed += 1;
@@ -646,6 +603,14 @@ mod tests {
 
     fn pfx(s: &str) -> Prefix {
         Prefix::from_str(s).unwrap()
+    }
+
+    impl Detector {
+        /// The two-phase tests' classification view: preparation reads
+        /// the live detector, so the view is the detector itself.
+        fn classify_context(&self) -> &Self {
+            self
+        }
     }
 
     fn config() -> ArtemisConfig {
@@ -1032,34 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_context_is_a_stable_snapshot() {
-        let d = Detector::new(config());
-        let ctx = d.classify_context();
-        let hijack = event("10.0.0.0/23", &[2914, 174, 666], 45);
-        let a = ctx.prepare(&hijack);
-        // The snapshot is clonable and shareable across threads.
-        let ctx2 = ctx.clone();
-        let b = std::thread::spawn(move || ctx2.prepare(&hijack))
-            .join()
-            .expect("worker classifies");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn copy_on_write_rules_do_not_disturb_live_snapshots() {
-        let mut d = Detector::new(config());
-        let ctx = d.classify_context();
-        let echo = event("10.0.0.0/24", &[2914, 174, 65001], 60);
-        let before = ctx.prepare(&echo);
-        // Mutating the detector's rules clones the touched shard; the
-        // held snapshot keeps classifying against the old rules.
-        d.expect_announcement(pfx("10.0.0.0/24"));
-        assert_eq!(ctx.prepare(&echo), before);
-        // The detector's own (live) classification sees the new rules.
-        assert_eq!(d.prepare(&echo).hijack, None);
-    }
-
-    #[test]
     fn incremental_routing_stays_consistent_across_onboard_offboard_churn() {
         use artemis_bgp::PrefixTrie;
         let mut d = Detector::new(config());
@@ -1116,10 +1053,6 @@ mod tests {
         assert!(d.add_shard(OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001))));
         d.begin_batch();
         check(&d);
-        // A held snapshot keeps its epoch while the detector moves on.
-        let ctx = d.classify_context();
-        assert!(d.add_shard(OwnedPrefix::new(pfx("198.51.100.0/24"), Asn(65001))));
-        assert!(d.routing_epoch().epoch() > ctx.epoch());
         // Keyed owned-prefix lookup sees exactly the onboarded shards.
         assert!(d.owned_rules(pfx("10.0.0.0/23")).is_some());
         assert!(d.owned_rules(pfx("10.0.0.0/24")).is_none());

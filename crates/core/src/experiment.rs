@@ -137,11 +137,6 @@ pub struct ExperimentBuilder {
     pub deagg_policy: crate::config::DeaggregationPolicy,
     /// What the adversary does in Phase 2.
     pub attack: AttackKind,
-    /// Detection worker threads for the assembled pipeline
-    /// (`PipelineConfig::workers`; 1 = sequential). Outcomes are
-    /// byte-identical across worker counts — the knob only changes
-    /// how the hardware is used.
-    pub workers: usize,
 }
 
 impl Default for ExperimentBuilder {
@@ -181,7 +176,6 @@ impl Default for ExperimentBuilder {
             mitigate: true,
             deagg_policy: crate::config::DeaggregationPolicy::OneLevel,
             attack: AttackKind::ExactOrigin,
-            workers: 1,
         }
     }
 }
@@ -397,7 +391,7 @@ impl Experiment {
         let mut config = ArtemisConfig::new(victim, vec![owned]);
         config.auto_mitigate = builder.mitigate;
         config.deaggregation_policy = builder.deagg_policy;
-        let pipeline = Pipeline::new(hub, config, all_vps.clone()).with_workers(builder.workers);
+        let pipeline = Pipeline::new(hub, config, all_vps.clone());
 
         let controller = Controller::new(
             victim,
@@ -841,25 +835,6 @@ mod tests {
                 "sources {sources:?} failed to detect"
             );
         }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_outcome() {
-        // The workers knob only changes how the hardware is used; the
-        // experiment's science must be bit-for-bit identical.
-        let seq = quick_outcome(7);
-        let mut b = ExperimentBuilder::tiny(7);
-        b.workers = 4;
-        let par = b.run();
-        assert_eq!(seq.timings.detected_at, par.timings.detected_at);
-        assert_eq!(seq.timings.resolved_at, par.timings.resolved_at);
-        assert_eq!(seq.detected_by, par.detected_by);
-        assert_eq!(seq.timeline, par.timeline);
-        assert_eq!(seq.feed_events, par.feed_events);
-        assert_eq!(
-            seq.milestones, par.milestones,
-            "narrated history identical across worker counts"
-        );
     }
 
     #[test]

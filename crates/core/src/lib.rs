@@ -23,6 +23,9 @@
 //! the batched, multi-prefix event loop — the detector shards its
 //! state per owned prefix, so concurrent incidents on different
 //! prefixes run independent alert/monitor/mitigation lifecycles.
+//! One thread drains, classifies and commits; only a live wire feed's
+//! BMP decoding runs on a thread of its own (see the [`pipeline`]
+//! module docs).
 //! [`ArtemisService`] is the operator control plane on top: typed
 //! [`ServiceCommand`]s (runtime prefix onboarding/offboarding, feed
 //! attach/detach by handle, per-prefix [`MitigationPolicy`] swaps,
@@ -52,7 +55,6 @@ pub mod hijack_stats;
 pub mod metrics;
 pub mod mitigation;
 pub mod monitor;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod roa;
@@ -71,10 +73,7 @@ pub use hijack_stats::HijackDurationModel;
 pub use metrics::{StageMetrics, StageStat};
 pub use mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
-pub use parallel::WorkerPool;
-pub use pipeline::{
-    OffboardReport, Pipeline, PipelineConfig, PipelineEvent, RunEnd, RunReport, WorkerStatus,
-};
+pub use pipeline::{OffboardReport, Pipeline, PipelineConfig, PipelineEvent, RunEnd, RunReport};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,
     ServiceStatus,

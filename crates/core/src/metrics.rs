@@ -1,8 +1,8 @@
 //! Wall-clock stage telemetry for the batched delivery path.
 //!
 //! These counters time the three stages of a feed batch — drain from
-//! the hub's merge queue, classification (inline or across the worker
-//! pool), and the ordered commit through monitoring/mitigation — plus
+//! the hub's merge queue, classification, and the ordered commit
+//! through monitoring/mitigation — plus
 //! the commit stage's five named sub-stages (detect, monitor-route,
 //! monitor-ingest, resolve, mitigate), with `std::time::Instant`.
 //! They exist for operators: the daemon's `/metrics` endpoint renders
@@ -10,7 +10,7 @@
 //!
 //! Wall-clock readings are inherently nondeterministic, so they are
 //! deliberately **not** part of [`ServiceStatus`](crate::ServiceStatus)
-//! or any other snapshot covered by the cross-worker-count identity
+//! or any other snapshot covered by the determinism and identity
 //! tests; they are reachable only through
 //! [`Pipeline::stage_metrics`](crate::Pipeline::stage_metrics).
 
@@ -100,18 +100,18 @@ impl StageStat {
 /// sorted run — lazy sort of lanes an append disordered) and
 /// `drain_merge` (the k-way merge of due events out of the lanes).
 /// The classify stage splits into `classify_snapshot` (starting the
-/// batch: resetting dirty tracking and snapshotting the routing epoch
-/// and rules) and `classify_prepare` (classifying every event, inline
-/// or across the worker pool). The commit stage splits into `detect`
+/// batch: a new dirty-tracking generation) and `classify_prepare`
+/// (classifying every event). The commit stage splits into `detect`
 /// (ordered detection walk, including in-batch monitor creation),
 /// `monitor_route` (prefix-routing every event to its covering set of
-/// active monitors), `monitor_ingest` (ingesting the routed events,
-/// inline or across the worker pool), `resolve` (applying resolution
-/// decisions: alert state, log, monitor retirement) and `mitigate`
+/// active monitors), `monitor_ingest` (ingesting the routed events
+/// into their monitors), `resolve` (applying resolution decisions:
+/// alert state, log, monitor retirement) and `mitigate`
 /// (planning/executing/holding mitigation for newly raised alerts).
 /// Sub-stages are recorded by the batched
-/// [`Pipeline::deliver_due`](crate::Pipeline::deliver_due) path; the
-/// per-event delivery paths record the top-level stages only.
+/// [`Pipeline::deliver_due`](crate::Pipeline::deliver_due) path.
+/// [`Pipeline::run`](crate::Pipeline::run) classifies each event as it
+/// commits it, so it records `drain` and `commit` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Draining due events out of the hub's merge queue.
@@ -120,13 +120,13 @@ pub struct StageMetrics {
     pub drain_seal: StageStat,
     /// Drain sub-stage: k-way merging due events out of the lanes.
     pub drain_merge: StageStat,
-    /// Classifying the drained batch (inline or worker pool).
+    /// Classifying the drained batch.
     pub classify: StageStat,
-    /// Classify sub-stage: batch start — dirty-tracking reset plus the
-    /// routing-epoch/rules snapshot taken for classification.
+    /// Classify sub-stage: batch start — a new dirty-tracking
+    /// generation in the detector.
     pub classify_snapshot: StageStat,
-    /// Classify sub-stage: classifying every event against the
-    /// snapshot (inline sequential or fanned across the worker pool).
+    /// Classify sub-stage: classifying every event against the live
+    /// routing and rules.
     pub classify_prepare: StageStat,
     /// Committing the batch in order through detection, monitoring
     /// and mitigation (the umbrella over the five sub-stages below).
@@ -137,7 +137,7 @@ pub struct StageMetrics {
     /// prefix index.
     pub monitor_route: StageStat,
     /// Commit sub-stage: ingesting routed events into the covering-set
-    /// monitor shards (inline or across the worker pool).
+    /// monitor shards.
     pub monitor_ingest: StageStat,
     /// Commit sub-stage: applying resolution decisions in order.
     pub resolve: StageStat,

@@ -400,14 +400,13 @@ impl MonitorIndex {
     /// that can share events (one contains the other) land in the same
     /// shard, keyed by the outermost indexed target above each. Two
     /// prefixes either nest or are disjoint, so nested targets form
-    /// exact components. Monitors are per-alert state, so shards run
-    /// on different workers without coordination (a short covering
-    /// announcement may still be routed to several shards — each
-    /// ingests it into its own monitors independently).
+    /// exact components. Monitors are per-alert state, so each shard
+    /// ingests its events without regard to the others (a short
+    /// covering announcement may still be routed to several shards —
+    /// each ingests it into its own monitors independently).
     ///
     /// Shards are returned in address order of their outermost target,
-    /// ids ascending within a shard — deterministic, so the pipeline's
-    /// shard→worker assignment is too.
+    /// ids ascending within a shard — deterministic.
     pub fn covering_shards(&self) -> Vec<Vec<AlertId>> {
         let mut shards: Vec<Vec<AlertId>> = Vec::new();
         let mut current_root: Option<Prefix> = None;
@@ -441,9 +440,9 @@ impl MonitorIndex {
     }
 }
 
-/// One monitor checked out of the pipeline for a batch-ingest pass
-/// (inline, or on a worker). Everything a worker needs travels with
-/// the task; nothing borrows the pipeline.
+/// One monitor checked out of the pipeline for a batch-ingest pass.
+/// Everything the pass needs travels with the task; nothing borrows
+/// the pipeline.
 #[derive(Debug)]
 pub(crate) struct MonitorTask {
     /// The alert this monitor belongs to.
@@ -474,9 +473,7 @@ pub(crate) struct MonitorOutcome {
 }
 
 /// Ingest one covering-set shard's slice of a batch into its monitor
-/// tasks, sequentially and in batch order — the shared kernel of the
-/// inline and worker-pool monitor-ingest paths, so both are identical
-/// by construction.
+/// tasks, sequentially and in batch order.
 ///
 /// `indices` lists the batch positions routed to this shard (ascending;
 /// a superset of each individual monitor's relevant events, since a
@@ -484,7 +481,7 @@ pub(crate) struct MonitorOutcome {
 /// in order and stops at the first event after which the alert
 /// resolves — the pipeline applies the recorded resolution point
 /// during the ordered commit walk, so log/action ordering is
-/// independent of which worker ran the shard.
+/// independent of the order shards ran in.
 pub(crate) fn run_monitor_tasks(
     events: &[FeedEvent],
     indices: &[u32],

@@ -42,6 +42,18 @@
 //!
 //! Deployments that want typed commands/queries over these primitives
 //! should use [`crate::service::ArtemisService`].
+//!
+//! # Threading model
+//!
+//! The pipeline runs on the thread that calls it. A live wire feed
+//! decodes BMP on its own reader thread and hands events over through
+//! a bounded ring; from there one thread drains, classifies and
+//! commits. [`Pipeline::deliver_due`] splits a drained batch into
+//! stages on that one thread: drain (merge the per-feed runs), classify
+//! (one tight [`Detector::prepare`] pass over the batch) and commit
+//! (monitor routing, monitor ingest, then the ordered detection walk
+//! with mitigation and resolution). Each stage records its own
+//! [`StageMetrics`] entry.
 
 use crate::alert::{AlertId, AlertState};
 use crate::app::AppAction;
@@ -53,7 +65,6 @@ use crate::mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 use crate::monitor::{
     run_monitor_tasks, MonitorIndex, MonitorOutcome, MonitorService, MonitorTask, RetiredMonitor,
 };
-use crate::parallel::WorkerPool;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
 use artemis_controller::{Controller, IntentKind};
@@ -62,80 +73,21 @@ use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// Execution parameters of the [`Pipeline`] itself (as opposed to the
 /// operator's [`ArtemisConfig`], which describes *what* to protect).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Number of detection worker threads. `1` (the default) keeps
-    /// everything on the calling thread — bit-for-bit the historical
-    /// sequential pipeline. With `workers ≥ 2`, every drained batch of
-    /// at least [`PipelineConfig::parallel_threshold`] events is
-    /// partitioned and classified concurrently on a persistent
-    /// [`WorkerPool`], then committed in deterministic `(emitted_at,
-    /// ingestion order)` — outputs are byte-identical to `workers =
-    /// 1` regardless of thread scheduling.
+    /// Threads that drain, classify and commit. The pipeline runs on
+    /// the calling thread, so the only supported value is `1` (the
+    /// default); benchmark records report it alongside host cores.
     pub workers: usize,
-    /// Minimum batch size worth fanning out; smaller batches (the
-    /// common case in fine-grained simulation loops, where a batch is
-    /// one emission instant) stay on the calling thread to avoid
-    /// paying channel round-trips for a handful of events.
-    ///
-    /// [`PipelineConfig::ADAPTIVE`] (`0`, the default) calibrates the
-    /// break-even point at pool spawn time: the pipeline times one
-    /// pool dispatch round-trip against the inline per-event classify
-    /// cost on this machine and picks the batch size where fan-out
-    /// starts paying for itself (clamped to `16..=4096`). Any nonzero
-    /// value is an explicit override, used verbatim. The *effective*
-    /// threshold in force is
-    /// [`Pipeline::effective_parallel_threshold`]; either way, outputs
-    /// stay byte-identical — the threshold only picks which
-    /// (identical) execution arm runs.
-    pub parallel_threshold: usize,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            workers: 1,
-            parallel_threshold: PipelineConfig::ADAPTIVE,
-        }
+        PipelineConfig { workers: 1 }
     }
-}
-
-impl PipelineConfig {
-    /// Sentinel for [`PipelineConfig::parallel_threshold`]: calibrate
-    /// the fan-out break-even at pool spawn instead of fixing it.
-    pub const ADAPTIVE: usize = 0;
-
-    /// A config with `workers` threads and the default (adaptive)
-    /// fan-out threshold.
-    pub fn with_workers(workers: usize) -> Self {
-        PipelineConfig {
-            workers,
-            ..PipelineConfig::default()
-        }
-    }
-}
-
-/// Worker-occupancy snapshot of the (possibly parallel) pipeline.
-///
-/// Purely observability: none of these counters feed back into
-/// detection, and between worker counts they legitimately differ —
-/// identity tests compare everything *else* in a status snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerStatus {
-    /// Configured worker threads (`1` = sequential pipeline).
-    pub workers: usize,
-    /// Batches fanned out to the worker pool.
-    pub parallel_batches: u64,
-    /// Batches delivered inline (no pool, or below the threshold).
-    pub sequential_batches: u64,
-    /// Events classified by each worker over the pipeline's lifetime
-    /// (chunk *i* of every parallel batch goes to worker *i*, so the
-    /// distribution shows per-shard/per-chunk occupancy).
-    pub per_worker_events: Vec<u64>,
 }
 
 /// Progress notifications emitted by [`Pipeline::run`].
@@ -198,22 +150,6 @@ pub struct OffboardReport {
     pub shard_events: u64,
 }
 
-/// Sub-stage wall-clock split of one classify stage (see
-/// [`StageMetrics`]): batch start + snapshot vs. the classification
-/// pass itself.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassifySplit {
-    /// Dirty-tracking reset plus the routing-epoch/rules snapshot.
-    snapshot_ns: u64,
-    /// Classifying every event (inline sequential or pooled).
-    prepare_ns: u64,
-}
-
-/// Saturating elapsed nanoseconds since `t0`.
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// The assembled ARTEMIS pipeline: feeds → sharded detection →
 /// per-alert monitoring → automatic mitigation.
 pub struct Pipeline {
@@ -258,17 +194,10 @@ pub struct Pipeline {
     /// Reusable per-event action buffer.
     actions: Vec<AppAction>,
     events_delivered: u64,
-    /// Execution parameters (worker count, fan-out threshold).
+    /// Execution parameters.
     pconfig: PipelineConfig,
-    /// Resolved fan-out threshold (explicit override or calibrated).
-    effective_threshold: usize,
-    /// The persistent classification pool (`None` when `workers = 1`).
-    pool: Option<WorkerPool>,
-    /// Batch-aligned classification cache filled by the pool.
+    /// Batch-aligned classification cache for [`Pipeline::deliver_due`].
     prepared: Vec<PreparedEvent>,
-    /// Batches fanned out / delivered inline (observability).
-    parallel_batches: u64,
-    sequential_batches: u64,
     /// Wall-clock per-stage batch latency (observability only; never
     /// part of deterministic snapshots).
     stage_metrics: StageMetrics,
@@ -297,11 +226,7 @@ impl Pipeline {
             actions: Vec::new(),
             events_delivered: 0,
             pconfig: PipelineConfig::default(),
-            effective_threshold: FALLBACK_THRESHOLD,
-            pool: None,
             prepared: Vec::new(),
-            parallel_batches: 0,
-            sequential_batches: 0,
             stage_metrics: StageMetrics::default(),
         }
     }
@@ -320,60 +245,24 @@ impl Pipeline {
         self
     }
 
-    /// Set the execution parameters (builder style). `workers ≥ 2`
-    /// spawns the persistent classification pool immediately (and,
-    /// when the threshold is [`PipelineConfig::ADAPTIVE`], calibrates
-    /// the fan-out break-even against it); a later call can also
-    /// shrink back to the sequential pipeline (the pool is dropped and
-    /// joined). The same worker count also parallelizes feed-event
-    /// synthesis in the hub ([`FeedHub::set_ingest_workers`]). Outputs
-    /// are byte-identical across worker counts — see the
-    /// [`PipelineConfig::workers`] docs.
+    /// Set the execution parameters (builder style).
+    ///
+    /// # Panics
+    ///
+    /// When `pconfig.workers` is not 1: the pipeline drains, classifies
+    /// and commits on the calling thread.
     pub fn with_pipeline_config(mut self, pconfig: PipelineConfig) -> Self {
-        self.pool = (pconfig.workers > 1).then(|| WorkerPool::new(pconfig.workers));
-        self.hub.set_ingest_workers(pconfig.workers.max(1));
-        self.effective_threshold = match (pconfig.parallel_threshold, self.pool.as_mut()) {
-            (PipelineConfig::ADAPTIVE, Some(pool)) => {
-                calibrate_threshold(pool, &self.detector, &self.config)
-            }
-            (PipelineConfig::ADAPTIVE, None) => FALLBACK_THRESHOLD,
-            (explicit, _) => explicit,
-        };
+        assert_eq!(
+            pconfig.workers, 1,
+            "the pipeline runs on one thread; PipelineConfig::workers must be 1"
+        );
         self.pconfig = pconfig;
         self
-    }
-
-    /// The fan-out threshold actually in force: the explicit
-    /// [`PipelineConfig::parallel_threshold`] override, or the
-    /// calibrated break-even when the config asked for
-    /// [`PipelineConfig::ADAPTIVE`].
-    pub fn effective_parallel_threshold(&self) -> usize {
-        self.effective_threshold
-    }
-
-    /// Shorthand for [`Pipeline::with_pipeline_config`] with the
-    /// default fan-out threshold.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_pipeline_config(PipelineConfig::with_workers(workers))
     }
 
     /// The execution parameters in force.
     pub fn pipeline_config(&self) -> &PipelineConfig {
         &self.pconfig
-    }
-
-    /// Worker-occupancy snapshot (see [`WorkerStatus`]).
-    pub fn worker_status(&self) -> WorkerStatus {
-        WorkerStatus {
-            workers: self.pconfig.workers.max(1),
-            parallel_batches: self.parallel_batches,
-            sequential_batches: self.sequential_batches,
-            per_worker_events: self
-                .pool
-                .as_ref()
-                .map(|p| p.worker_events().to_vec())
-                .unwrap_or_default(),
-        }
     }
 
     /// Read access to the feed hub.
@@ -761,7 +650,7 @@ impl Pipeline {
         helper_controllers: &mut [Controller],
         actions: &mut Vec<AppAction>,
     ) {
-        self.deliver_impl(event, None, controller, helper_controllers, actions);
+        self.deliver_impl(event, controller, helper_controllers, actions);
     }
 
     /// Steps 1–3 of delivering one event: commit detection (using the
@@ -780,10 +669,11 @@ impl Pipeline {
         actions: &mut Vec<AppAction>,
     ) -> (Option<AlertId>, u64) {
         // 1. Detection: route the event to the responsible shard. A
-        // prepared classification (from the worker pool) is committed
-        // via the detector's two-phase path, which re-classifies
-        // against live state whenever the owning shard's rules changed
-        // mid-batch — so both arms produce identical outcomes.
+        // prepared classification (from the batch's classify pass) is
+        // committed via the detector's two-phase path, which
+        // re-classifies against live state whenever the owning shard's
+        // rules changed mid-batch — so both arms produce identical
+        // outcomes.
         let detection = match prepared {
             Some(prep) => self.detector.process_prepared(event, prep),
             None => self.detector.process(event),
@@ -876,14 +766,12 @@ impl Pipeline {
         }
     }
 
-    /// Shared tail of the sequential and parallel delivery paths:
-    /// commit detection (using the precomputed classification when one
-    /// exists), then monitoring and mitigation — always on the calling
-    /// thread, always in batch order.
+    /// The per-event delivery path ([`Pipeline::deliver`] and
+    /// [`Pipeline::run`]): fused detection, then monitoring and
+    /// mitigation for this one event.
     fn deliver_impl(
         &mut self,
         event: &FeedEvent,
-        prepared: Option<PreparedEvent>,
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
         actions: &mut Vec<AppAction>,
@@ -891,7 +779,7 @@ impl Pipeline {
         actions.clear();
         self.events_delivered += 1;
 
-        self.detect_and_arm(event, prepared, controller, helper_controllers, actions);
+        self.detect_and_arm(event, None, controller, helper_controllers, actions);
 
         // 4. Monitoring: the prefix index routes the event to its
         // covering set of relevant monitors (a freshly armed monitor is
@@ -946,76 +834,21 @@ impl Pipeline {
         }
     }
 
-    /// Classify the events currently in `self.batch`, fanning out to
-    /// the worker pool when one is configured and the batch is large
-    /// enough. Returns `true` when `self.prepared` is batch-aligned
-    /// and should be consumed; `false` selects the inline sequential
-    /// path. Either way the detector's per-batch dirty tracking is
-    /// reset so mid-batch rule changes invalidate stale preparations.
-    ///
-    /// The second return value is the classify stage's sub-stage
-    /// timing: snapshot (batch start + routing-epoch/rules snapshot)
-    /// and prepare (the classification itself; the caller adds its own
-    /// inline fallback pass when this method returns `false`).
-    fn prepare_batch(&mut self) -> (bool, ClassifySplit) {
-        let t0 = std::time::Instant::now();
-        let epoch = self.detector.begin_batch();
-        let mut split = ClassifySplit::default();
-        let n = self.batch.len();
-        if n == 0 {
-            split.snapshot_ns = elapsed_ns(t0);
-            return (false, split);
-        }
-        let parallel = self
-            .pool
-            .as_ref()
-            .is_some_and(|_| n >= self.effective_threshold);
-        if !parallel {
-            self.sequential_batches += 1;
-            split.snapshot_ns = elapsed_ns(t0);
-            return (false, split);
-        }
-        self.parallel_batches += 1;
-        let ctx = self.detector.classify_context();
-        debug_assert_eq!(
-            ctx.epoch(),
-            epoch,
-            "worker snapshot classifies under the batch's routing epoch"
-        );
-        split.snapshot_ns = elapsed_ns(t0);
-        let t1 = std::time::Instant::now();
-        // The batch rides to the workers in an `Arc` (no copying) and
-        // comes back untouched once every chunk has returned.
-        let events = Arc::new(std::mem::take(&mut self.batch));
-        self.prepared.clear();
-        self.prepared.resize(n, PreparedEvent::BENIGN);
-        self.pool.as_mut().expect("parallel implies pool").classify(
-            &events,
-            &ctx,
-            &mut self.prepared,
-        );
-        drop(ctx);
-        self.batch = Arc::try_unwrap(events).expect("workers released the batch");
-        split.prepare_ns = elapsed_ns(t1);
-        (true, split)
-    }
-
     /// Drain every queued feed event due by `upto` and deliver it as
-    /// **one** batch (classified across the worker pool when
-    /// configured), using the service's controllers but no observer.
+    /// **one** batch, using the service's controllers but no observer.
     /// Returns the number of events delivered.
     ///
     /// This is the bulk-ingestion surface for drivers that replay
-    /// pre-queued streams (benchmarks, archive replays): unlike
-    /// [`Pipeline::run`], which batches per emission instant, the
-    /// whole backlog becomes a single batch — exactly the
-    /// `drain_batch` contract — maximizing fan-out while preserving
-    /// the global `(emitted_at, ingestion order)` delivery order.
+    /// pre-queued streams (benchmarks, archive replays) and for the
+    /// live feed pump: unlike [`Pipeline::run`], which batches per
+    /// emission instant, the whole backlog becomes a single batch —
+    /// exactly the `drain_batch` contract — preserving the global
+    /// `(emitted_at, ingestion order)` delivery order.
     ///
-    /// The commit stage here is **staged**: monitors that pre-exist
-    /// the batch consume their routed events up front (in covering-set
-    /// shards, fanned across the worker pool when the routed volume
-    /// clears the fan-out threshold), and the ordered walk then only
+    /// The batch is classified up front in one pass (see the
+    /// [module docs](self)). The commit stage is **staged**: monitors
+    /// that pre-exist the batch consume their routed events up front,
+    /// one covering-set shard at a time, and the ordered walk then only
     /// runs detection, in-batch-born monitors, and the pre-computed
     /// resolution points. This is byte-identical to delivering the
     /// batch one event at a time — a pre-existing monitor's state
@@ -1036,29 +869,22 @@ impl Pipeline {
         let t0 = Instant::now();
         let (_, drain_split) = self.hub.drain_batch_timed(upto, &mut self.batch);
         let delivered = self.batch.len() as u64;
-        let t1 = Instant::now();
-        let (mut prepared, mut split) = self.prepare_batch();
-        if !prepared && !self.batch.is_empty() {
-            // No pool (or below the fan-out threshold): classify in
-            // one tight sequential pass anyway. The flat trie and the
-            // shard rules stay hot in cache across the whole batch —
-            // measurably cheaper than re-entering the fused
-            // classify-and-commit path per event — and the dirty-shard
-            // recompute in `process_prepared` keeps the outcome
-            // byte-identical to the fused path by construction.
-            let inline_t = Instant::now();
-            self.prepared.clear();
-            self.prepared.reserve(self.batch.len());
-            for event in &self.batch {
-                self.prepared.push(self.detector.prepare(event));
-            }
-            prepared = true;
-            split.prepare_ns += elapsed_ns(inline_t);
-        }
-        let t2 = Instant::now();
         if delivered == 0 {
             return 0;
         }
+        let t1 = Instant::now();
+        self.detector.begin_batch();
+        let t_snapshot = Instant::now();
+        // Classify in one tight pass before committing anything. The
+        // flat trie and the shard rules stay hot in cache across the
+        // whole batch — measurably cheaper than re-entering the fused
+        // classify-and-commit path per event — and the dirty-shard
+        // recompute in `process_prepared` keeps the outcome
+        // byte-identical to the fused path by construction.
+        self.prepared.clear();
+        self.prepared
+            .extend(self.batch.iter().map(|event| self.detector.prepare(event)));
+        let t2 = Instant::now();
 
         // --- monitor-route: partition the active monitors into
         // covering-set shards and route every event once through the
@@ -1074,12 +900,10 @@ impl Pipeline {
             }
         }
         let mut shard_events: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
-        let mut routed_pairs = 0usize;
         {
             let mut route = std::mem::take(&mut self.route_buf);
             for (i, event) in self.batch.iter().enumerate() {
                 self.monitor_index.route(event.prefix, &mut route);
-                routed_pairs += route.len();
                 for id in &route {
                     let list = &mut shard_events[group_of[id] as usize];
                     if list.last() != Some(&(i as u32)) {
@@ -1118,9 +942,11 @@ impl Pipeline {
             }
         }
 
-        // Check the pre-existing monitors out of the registry into
-        // per-shard task lists (shards with no routed events stay put).
-        let mut work: Vec<(Vec<u32>, Vec<MonitorTask>)> = Vec::new();
+        // Check the pre-existing monitors out of the registry, shard by
+        // shard (shards with no routed events stay put), and ingest
+        // each shard's routed events; the outcomes are then merged
+        // back in alert order.
+        let mut outcomes: Vec<MonitorOutcome> = Vec::new();
         for (g, ids) in shards.iter().enumerate() {
             let indices = std::mem::take(&mut shard_events[g]);
             if indices.is_empty() {
@@ -1139,30 +965,10 @@ impl Pipeline {
                 });
             }
             if !tasks.is_empty() {
-                work.push((indices, tasks));
+                run_monitor_tasks(&self.batch, &indices, tasks, &mut outcomes);
             }
         }
-
-        // Fan the shards across the worker pool when the routed volume
-        // clears the threshold; either arm is byte-identical (the
-        // merge sorts outcomes back into alert order).
-        let mut outcomes: Vec<MonitorOutcome> = Vec::new();
-        if !work.is_empty() {
-            let pooled = self.pool.is_some() && routed_pairs >= self.effective_threshold;
-            if pooled {
-                let events = Arc::new(std::mem::take(&mut self.batch));
-                self.pool
-                    .as_mut()
-                    .expect("pooled implies pool")
-                    .ingest_monitors(&events, work, &mut outcomes);
-                self.batch = Arc::try_unwrap(events).expect("workers released the batch");
-            } else {
-                for (indices, tasks) in work {
-                    run_monitor_tasks(&self.batch, &indices, tasks, &mut outcomes);
-                }
-                outcomes.sort_unstable_by_key(|o| o.alert);
-            }
-        }
+        outcomes.sort_unstable_by_key(|o| o.alert);
         for outcome in outcomes {
             match outcome.resolved_at {
                 Some(i) => resolutions
@@ -1187,7 +993,7 @@ impl Pipeline {
         // resolutions applied at their exact event indices (before the
         // next event's detection, so dedup against resolved alerts —
         // a re-hijack is a NEW alert — behaves identically).
-        let batch = std::mem::take(&mut self.batch);
+        let mut batch = std::mem::take(&mut self.batch);
         let prep = std::mem::take(&mut self.prepared);
         let mut actions = std::mem::take(&mut self.actions);
         let mut live_new: Vec<AlertId> = Vec::new();
@@ -1196,9 +1002,13 @@ impl Pipeline {
         for (i, event) in batch.iter().enumerate() {
             actions.clear();
             self.events_delivered += 1;
-            let p = prepared.then(|| prep[i]);
-            let (new_alert, mit_ns) =
-                self.detect_and_arm(event, p, controller, helper_controllers, &mut actions);
+            let (new_alert, mit_ns) = self.detect_and_arm(
+                event,
+                Some(prep[i]),
+                controller,
+                helper_controllers,
+                &mut actions,
+            );
             mitigate_ns += mit_ns;
             if let Some(id) = new_alert {
                 live_new.push(id);
@@ -1247,6 +1057,10 @@ impl Pipeline {
                 resolve_ns += u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
         }
+        // Clearing frees every event's collector name and AS path: part
+        // of the commit stage's cost, so it runs before the timer stops.
+        batch.clear();
+        actions.clear();
         let t5 = Instant::now();
 
         let m = &mut self.stage_metrics;
@@ -1260,12 +1074,8 @@ impl Pipeline {
             std::time::Duration::from_nanos(drain_split.merge_nanos),
         );
         m.classify.record(delivered, t2 - t1);
-        m.classify_snapshot.record(
-            delivered,
-            std::time::Duration::from_nanos(split.snapshot_ns),
-        );
-        m.classify_prepare
-            .record(delivered, std::time::Duration::from_nanos(split.prepare_ns));
+        m.classify_snapshot.record(delivered, t_snapshot - t1);
+        m.classify_prepare.record(delivered, t2 - t_snapshot);
         m.commit.record(delivered, t5 - t2);
         m.monitor_route.record(delivered, t3 - t2);
         m.monitor_ingest.record(delivered, t4 - t3);
@@ -1278,10 +1088,8 @@ impl Pipeline {
         m.mitigate
             .record(delivered, std::time::Duration::from_nanos(mitigate_ns));
 
-        actions.clear();
         self.actions = actions;
         self.batch = batch;
-        self.batch.clear();
         self.prepared = prep;
         delivered
     }
@@ -1450,23 +1258,19 @@ impl Pipeline {
                 continue;
             }
 
-            // Otherwise: deliver the batch of feed events due now —
-            // classified across the worker pool when configured, then
-            // committed one by one in `(emitted_at, ingestion order)`.
+            // Otherwise: deliver the batch of feed events due now, one
+            // by one in `(emitted_at, ingestion order)`; each event is
+            // classified as it commits.
             self.apply_peer_downs(next);
             let t0 = std::time::Instant::now();
             self.hub.drain_batch(next, &mut self.batch);
             let drained = self.batch.len() as u64;
             let t1 = std::time::Instant::now();
-            let (prepared, _) = self.prepare_batch();
-            let t2 = std::time::Instant::now();
             let mut batch = std::mem::take(&mut self.batch);
-            let prep = std::mem::take(&mut self.prepared);
             let mut actions = std::mem::take(&mut self.actions);
             let mut stopped_at: Option<usize> = None;
             'events: for (i, event) in batch.iter().enumerate() {
-                let p = prepared.then(|| prep[i]);
-                self.deliver_impl(event, p, controller, helper_controllers, &mut actions);
+                self.deliver_impl(event, controller, helper_controllers, &mut actions);
                 for action in &actions {
                     if observer(engine, PipelineEvent::App(action)).is_break() {
                         stopped_at = Some(i);
@@ -1475,10 +1279,9 @@ impl Pipeline {
                 }
             }
             if drained > 0 {
-                let t3 = std::time::Instant::now();
+                let t2 = std::time::Instant::now();
                 self.stage_metrics.drain.record(drained, t1 - t0);
-                self.stage_metrics.classify.record(drained, t2 - t1);
-                self.stage_metrics.commit.record(drained, t3 - t2);
+                self.stage_metrics.commit.record(drained, t2 - t1);
             }
             if let Some(i) = stopped_at {
                 // Hand undelivered events back to the hub so a later
@@ -1489,7 +1292,6 @@ impl Pipeline {
             actions.clear();
             self.batch = batch;
             self.actions = actions;
-            self.prepared = prep;
             if stopped_at.is_some() {
                 break RunEnd::Stopped;
             }
@@ -1500,91 +1302,6 @@ impl Pipeline {
             events_delivered: self.events_delivered - delivered_before,
         }
     }
-}
-
-/// Effective threshold when no calibration is possible: the adaptive
-/// sentinel without a pool (sequential pipelines never fan out anyway).
-const FALLBACK_THRESHOLD: usize = 128;
-/// Synthetic batch size the calibration times (large enough that the
-/// per-event quotient is stable, small enough to finish in ~a ms).
-const CALIBRATION_BATCH: usize = 256;
-/// Timing rounds; the minimum over rounds rejects scheduler noise.
-const CALIBRATION_ROUNDS: usize = 5;
-/// Calibration clamp: never fan out below this batch size…
-const THRESHOLD_MIN: usize = 16;
-/// …and never demand more than this before fanning out.
-const THRESHOLD_MAX: usize = 4096;
-
-/// Measure, on this machine, the batch size where pool fan-out starts
-/// beating inline classification.
-///
-/// Model: inline cost is `per_event · n`; pooled cost is
-/// `overhead + per_event · n / workers` (one dispatch round-trip plus
-/// the divided classify work). Break-even:
-/// `n* = overhead · workers / (per_event · (workers − 1))`. Both sides
-/// are timed against a representative synthetic event — an
-/// announcement for the first owned prefix from a non-legitimate
-/// origin, so the longest-prefix match *and* the shard rules actually
-/// run. The calibration result only selects which of two
-/// byte-identical execution arms handles a given batch, so run-to-run
-/// timing variance never changes outputs.
-fn calibrate_threshold(
-    pool: &mut WorkerPool,
-    detector: &Detector,
-    config: &ArtemisConfig,
-) -> usize {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    let vantage = Asn(64_496);
-    let rogue = Asn(64_511);
-    let prefix = config
-        .owned
-        .first()
-        .map(|o| o.prefix)
-        .unwrap_or_else(|| "192.0.2.0/24".parse().expect("literal parses"));
-    let template = FeedEvent {
-        emitted_at: SimTime::ZERO,
-        observed_at: SimTime::ZERO,
-        source: artemis_feeds::FeedKind::RisLive,
-        collector: "calibration".to_string(),
-        vantage,
-        prefix,
-        as_path: Some(artemis_bgp::AsPath::from_sequence([vantage, rogue])),
-        origin_as: Some(rogue),
-        raw: None,
-    };
-    let events: Vec<FeedEvent> = std::iter::repeat_with(|| template.clone())
-        .take(CALIBRATION_BATCH)
-        .collect();
-    let ctx = detector.classify_context();
-
-    let mut inline_ns = u64::MAX;
-    for _ in 0..CALIBRATION_ROUNDS {
-        let start = Instant::now();
-        for event in &events {
-            black_box(ctx.prepare(black_box(event)));
-        }
-        inline_ns = inline_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    let per_event = (inline_ns / CALIBRATION_BATCH as u64).max(1);
-
-    let events = Arc::new(events);
-    let mut prepared = vec![PreparedEvent::BENIGN; CALIBRATION_BATCH];
-    let mut pooled_ns = u64::MAX;
-    for _ in 0..CALIBRATION_ROUNDS {
-        let start = Instant::now();
-        pool.classify(&events, &ctx, &mut prepared);
-        pooled_ns = pooled_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    // Calibration traffic is not real occupancy; keep the per-worker
-    // counters meaning "events classified exactly once per batch".
-    pool.reset_worker_events();
-
-    let workers = pool.workers() as u64;
-    let overhead = pooled_ns.saturating_sub(inline_ns / workers);
-    let threshold = overhead * workers / (per_event * workers.saturating_sub(1).max(1));
-    (threshold as usize).clamp(THRESHOLD_MIN, THRESHOLD_MAX)
 }
 
 #[cfg(test)]
@@ -2106,7 +1823,7 @@ mod tests {
         assert!(p.executed_plan(id).is_none(), "plan bookkeeping cleared");
     }
 
-    // ---- Parallel execution mode ------------------------------------
+    // ---- Batched delivery -------------------------------------------
 
     /// A hub-backed pipeline over several owned prefixes, fed with a
     /// deterministic mix of benign, hijack and mitigation-echo
@@ -2136,10 +1853,7 @@ mod tests {
                 .collect(),
         );
         let p = Pipeline::new(hub, config, [Asn(174), Asn(3356)].into_iter().collect())
-            .with_pipeline_config(PipelineConfig {
-                workers,
-                parallel_threshold: 16,
-            });
+            .with_pipeline_config(PipelineConfig { workers });
         (p, controller())
     }
 
@@ -2172,94 +1886,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn parallel_delivery_is_byte_identical_to_sequential() {
-        let changes = synthetic_changes(600);
-        let (mut seq, mut seq_ctrl) = hub_pipeline(1);
-        seq.ingest_route_changes(&changes);
-        let n_seq = seq.deliver_due(SimTime::from_secs(1 << 30), &mut seq_ctrl, &mut []);
-
-        for workers in [2usize, 4, 8] {
-            let (mut par, mut par_ctrl) = hub_pipeline(workers);
-            par.ingest_route_changes(&changes);
-            let n_par = par.deliver_due(SimTime::from_secs(1 << 30), &mut par_ctrl, &mut []);
-            assert_eq!(n_seq, n_par, "workers={workers}");
-            assert_eq!(
-                seq.detector().alerts().all(),
-                par.detector().alerts().all(),
-                "workers={workers}"
-            );
-            assert_eq!(
-                seq.poll_events(EventCursor::START).events,
-                par.poll_events(EventCursor::START).events,
-                "workers={workers}"
-            );
-            assert_eq!(seq.events_delivered(), par.events_delivered());
-            assert_eq!(
-                seq_ctrl.intents().collect::<Vec<_>>(),
-                par_ctrl.intents().collect::<Vec<_>>(),
-                "workers={workers}: identical mitigation intents"
-            );
-            // The parallel pipeline actually fanned out.
-            let ws = par.worker_status();
-            assert_eq!(ws.workers, workers);
-            assert!(ws.parallel_batches > 0, "workers={workers} fanned out");
-            assert_eq!(
-                ws.per_worker_events.iter().sum::<u64>(),
-                n_par,
-                "every event classified exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_threshold_calibrates_explicit_override_wins() {
-        // Explicit override: used verbatim.
-        let (p, _) = hub_pipeline(4);
-        assert_eq!(p.effective_parallel_threshold(), 16);
-        assert_eq!(p.pipeline_config().parallel_threshold, 16);
-
-        // Adaptive with a pool: calibrated within the clamp, and the
-        // calibration traffic never shows up as worker occupancy.
-        let (p, _) = hub_pipeline(4);
-        let p = p.with_workers(4);
-        let t = p.effective_parallel_threshold();
-        assert!((16..=4096).contains(&t), "calibrated threshold {t}");
-        assert_eq!(p.pipeline_config().parallel_threshold, 0);
-        assert_eq!(p.worker_status().per_worker_events, vec![0; 4]);
-
-        // Adaptive without a pool: inert fallback (never consulted —
-        // the sequential pipeline has nothing to fan out to).
-        let (p, _) = hub_pipeline(4);
-        let p = p.with_workers(1);
-        assert_eq!(p.effective_parallel_threshold(), FALLBACK_THRESHOLD);
-    }
-
-    #[test]
-    fn small_batches_stay_inline() {
-        let (mut p, mut ctrl) = hub_pipeline(4);
-        // Two route changes → four events, below the threshold of 16.
-        let changes = synthetic_changes(2);
-        p.ingest_route_changes(&changes);
-        p.deliver_due(SimTime::from_secs(1 << 30), &mut ctrl, &mut []);
-        let ws = p.worker_status();
-        assert_eq!(ws.parallel_batches, 0);
-        assert_eq!(ws.sequential_batches, 1);
-        assert_eq!(ws.per_worker_events, vec![0; 4]);
-    }
-
-    #[test]
-    fn sequential_pipeline_reports_one_worker() {
-        let (mut p, mut ctrl) = hub_pipeline(1);
-        p.ingest_route_changes(&synthetic_changes(50));
-        p.deliver_due(SimTime::from_secs(1 << 30), &mut ctrl, &mut []);
-        let ws = p.worker_status();
-        assert_eq!(ws.workers, 1);
-        assert_eq!(ws.parallel_batches, 0);
-        assert!(ws.sequential_batches > 0);
-        assert!(ws.per_worker_events.is_empty());
     }
 
     #[test]

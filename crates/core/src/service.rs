@@ -29,7 +29,7 @@ use crate::alert::{AlertId, AlertState};
 use crate::config::OwnedPrefix;
 use crate::event_log::{EventCursor, EventLog, PollBatch};
 use crate::mitigation::{MitigationPlan, MitigationPolicy};
-use crate::pipeline::{OffboardReport, Pipeline, PipelineEvent, RunReport, WorkerStatus};
+use crate::pipeline::{OffboardReport, Pipeline, PipelineEvent, RunReport};
 use crate::{AppAction, HijackType};
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
@@ -224,24 +224,6 @@ pub struct ServiceStatus {
     pub incidents: Vec<IncidentStatus>,
     /// Per-feed health.
     pub feeds: Vec<FeedStatus>,
-    /// Worker occupancy of the (possibly parallel) pipeline.
-    ///
-    /// Observability only: these counters are the one part of a
-    /// status snapshot that legitimately differs between worker
-    /// counts; [`ServiceStatus::scrubbed_of_worker_stats`] strips them
-    /// for cross-configuration identity comparisons.
-    pub workers: WorkerStatus,
-}
-
-impl ServiceStatus {
-    /// The snapshot with worker-occupancy counters reset — everything
-    /// left is guaranteed identical across `PipelineConfig::workers`
-    /// settings for the same input stream (the parallel pipeline's
-    /// determinism contract, locked by the cross-seed property tests).
-    pub fn scrubbed_of_worker_stats(mut self) -> Self {
-        self.workers = WorkerStatus::default();
-        self
-    }
 }
 
 /// One row of the owned-prefix table.
@@ -502,7 +484,6 @@ impl ArtemisService {
             owned: self.prefix_table(),
             incidents: self.incident_table(now),
             feeds: self.feed_table(),
-            workers: self.pipeline.worker_status(),
         }
     }
 

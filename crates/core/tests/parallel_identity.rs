@@ -1,30 +1,26 @@
-//! Property: the parallel detection pipeline is **byte-identical** to
-//! the sequential one on arbitrary event mixes.
+//! Property: delivering a backlog as **one** batch through
+//! [`Pipeline::deliver_due`] is byte-identical to delivering the same
+//! events one at a time through [`Pipeline::deliver`].
 //!
-//! The fleet-level test (`tests/pipeline_multi_prefix.rs` at the
-//! workspace root) drives full simulated-Internet scenarios where
-//! batches are per-emission-instant; this suite attacks the other
-//! regime — one huge multi-instant backlog drained through
-//! [`Pipeline::deliver_due`] — with randomized traffic: benign noise,
-//! exact/sub-prefix hijacks, forged origins, withdrawals, and
+//! The batch path classifies every event up front and commits through
+//! a staged walk (pre-existing monitors ingest their routed events
+//! first); the per-event path classifies each event as it commits it.
+//! Randomized traffic exercises where the two could part: benign
+//! noise, exact/sub-prefix hijacks, forged origins, withdrawals, and
 //! mitigation echoes that mutate shard rules mid-batch (the dirty-
 //! shard recompute path).
 
 use artemis_bgp::{AsPath, Asn};
 use artemis_bgpsim::{BestRoute, RouteChange};
 use artemis_core::config::OwnedPrefix;
-use artemis_core::{ArtemisConfig, EventCursor, Pipeline, PipelineConfig};
+use artemis_core::{ArtemisConfig, EventCursor, Pipeline};
 use artemis_feeds::vantage::group_into_collectors;
 use artemis_feeds::{FeedHub, StreamFeed};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use artemis_topology::RelKind;
 use proptest::prelude::*;
 
-fn pipeline(
-    seed: u64,
-    workers: usize,
-    threshold: usize,
-) -> (Pipeline, artemis_controller::Controller) {
+fn pipeline(seed: u64) -> (Pipeline, artemis_controller::Controller) {
     let vps = vec![Asn(174), Asn(3356), Asn(2914)];
     let mut hub = FeedHub::new(SimRng::new(seed));
     hub.add(Box::new(
@@ -52,11 +48,7 @@ fn pipeline(
         hub,
         config,
         [Asn(174), Asn(3356), Asn(2914)].into_iter().collect(),
-    )
-    .with_pipeline_config(PipelineConfig {
-        workers,
-        parallel_threshold: threshold,
-    });
+    );
     let ctrl = artemis_controller::Controller::new(
         Asn(65001),
         LatencyModel::const_secs(15),
@@ -111,47 +103,61 @@ fn change(kind: u8, slot: u8, t: u64) -> RouteChange {
     }
 }
 
-fn run(
-    seed: u64,
-    workers: usize,
-    threshold: usize,
-    spec: &[(u8, u8, u64)],
-) -> (String, String, String, u64) {
-    let (mut p, mut ctrl) = pipeline(seed, workers, threshold);
+/// Deliver the backlog generated from `spec`: as one `deliver_due`
+/// batch, or (`per_event`) drained by hand and handed to
+/// `Pipeline::deliver` one event at a time. Returns the event-log
+/// history, alert store, monitor state, delivered count and the
+/// controller's intents, each rendered for byte comparison.
+fn run(seed: u64, spec: &[(u8, u8, u64)], per_event: bool) -> [String; 5] {
+    let (mut p, mut ctrl) = pipeline(seed);
     let mut changes: Vec<RouteChange> = spec.iter().map(|(k, s, t)| change(*k, *s, *t)).collect();
     changes.sort_by_key(|c| c.time);
     p.ingest_route_changes(&changes);
-    let delivered = p.deliver_due(SimTime::from_secs(1 << 40), &mut ctrl, &mut []);
+    let upto = SimTime::from_secs(1 << 40);
+    let delivered = if per_event {
+        let mut backlog = Vec::new();
+        p.hub_mut().drain_batch(upto, &mut backlog);
+        for event in &backlog {
+            p.deliver(event, &mut ctrl, &mut []);
+        }
+        backlog.len() as u64
+    } else {
+        p.deliver_due(upto, &mut ctrl, &mut [])
+    };
     let history = serde_json::to_string(&p.poll_events(EventCursor::START).events).unwrap();
     let alerts = format!("{:?}", p.detector().alerts().all());
     // Active monitor state and retired timelines: the staged commit
-    // checks monitors out of the registry, ingests them (possibly on
-    // worker threads) and merges them back — their per-vantage state
-    // and retirement records must come back byte-identical.
+    // checks monitors out of the registry, ingests them shard by shard
+    // and merges them back — their per-vantage state and retirement
+    // records must come back byte-identical.
     let monitors = format!(
         "{:?} | {:?}",
         p.monitors().collect::<Vec<_>>(),
         p.retired_monitors().collect::<Vec<_>>()
     );
-    (history, alerts, monitors, delivered)
+    let intents = format!("{:?}", ctrl.intents().collect::<Vec<_>>());
+    [
+        history,
+        alerts,
+        monitors,
+        format!("{delivered} / {}", p.events_delivered()),
+        intents,
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_backlog_drain_matches_sequential(
+    fn backlog_drain_matches_per_event_delivery(
         seed in 1u64..10_000,
         spec in prop::collection::vec((0u8..=255, 0u8..=255, 0u64..5_000_000), 1..300),
-        workers_idx in 0usize..3,
-        threshold in 1usize..64,
     ) {
-        let workers = [2usize, 4, 8][workers_idx];
-        let sequential = run(seed, 1, threshold, &spec);
-        let parallel = run(seed, workers, threshold, &spec);
-        prop_assert_eq!(&sequential.0, &parallel.0, "event-log history differs");
-        prop_assert_eq!(&sequential.1, &parallel.1, "alert store differs");
-        prop_assert_eq!(&sequential.2, &parallel.2, "monitor/retired state differs");
-        prop_assert_eq!(sequential.3, parallel.3, "delivered count differs");
+        let batched = run(seed, &spec, false);
+        let per_event = run(seed, &spec, true);
+        let what = ["event-log history", "alert store", "monitor/retired state", "delivered count", "controller intents"];
+        for ((b, e), what) in batched.iter().zip(&per_event).zip(what) {
+            prop_assert_eq!(b, e, "{} differs", what);
+        }
     }
 }
