@@ -3,6 +3,7 @@
 use crate::Asn;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One AS_PATH segment (RFC 4271 §4.3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,9 +38,13 @@ impl Segment {
 /// hop). The *origin* of the path — the AS that first announced the
 /// route, and the value ARTEMIS validates against the operator's
 /// configuration — is the rightmost ASN of the final `Sequence` segment.
+///
+/// A path is immutable and shared: cloning copies a pointer, so every
+/// prefix of one UPDATE carries the same path without a heap
+/// allocation, and [`AsPath::prepend_n`] builds a new path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct AsPath {
-    segments: Vec<Segment>,
+    segments: Arc<[Segment]>,
 }
 
 impl AsPath {
@@ -59,7 +64,7 @@ impl AsPath {
             AsPath::empty()
         } else {
             AsPath {
-                segments: vec![Segment::Sequence(seq)],
+                segments: Arc::new([Segment::Sequence(seq)]),
             }
         }
     }
@@ -76,7 +81,9 @@ impl AsPath {
                 (_, seg) => merged.push(seg),
             }
         }
-        AsPath { segments: merged }
+        AsPath {
+            segments: merged.into(),
+        }
     }
 
     /// Segments, leftmost (most recent) first.
@@ -124,7 +131,7 @@ impl AsPath {
     /// used for Type-1 hijack classification at the origin end.
     pub fn origin_neighbor(&self) -> Option<Asn> {
         let mut all: Vec<Asn> = Vec::new();
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             match seg {
                 Segment::Sequence(a) => all.extend_from_slice(a),
                 Segment::Set(_) => return None,
@@ -148,16 +155,21 @@ impl AsPath {
         if n == 0 {
             return self.clone();
         }
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(Segment::Sequence(seq)) => {
-                let mut new_seq = vec![asn; n];
-                new_seq.append(seq);
-                *seq = new_seq;
+        let repeats = std::iter::repeat_n(asn, n);
+        let (front, rest) = match self.segments.split_first() {
+            Some((Segment::Sequence(seq), rest)) => {
+                (repeats.chain(seq.iter().copied()).collect(), rest)
             }
-            _ => segments.insert(0, Segment::Sequence(vec![asn; n])),
+            _ => (repeats.collect(), &self.segments[..]),
+        };
+        // Exact-size iterators: one allocation for the new front
+        // sequence and one for the segment slice, besides the clones
+        // of the segments behind it.
+        AsPath {
+            segments: std::iter::once(Segment::Sequence(front))
+                .chain(rest.iter().cloned())
+                .collect(),
         }
-        AsPath { segments }
     }
 
     /// True if `asn` appears anywhere in the path — the RFC 4271 §9.1.2
@@ -171,7 +183,7 @@ impl AsPath {
     /// count because repeats are adjacent).
     pub fn has_nonadjacent_repeat(&self) -> bool {
         let mut flat: Vec<Asn> = Vec::new();
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             if let Segment::Sequence(a) = seg {
                 flat.extend_from_slice(a);
             }
@@ -193,7 +205,7 @@ impl fmt::Display for AsPath {
     /// Conventional `show ip bgp` rendering: `174 3356 {1299,2914}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             if !first {
                 write!(f, " ")?;
             }
@@ -284,6 +296,16 @@ mod tests {
         let prepended = set_front.prepend(Asn(7));
         assert_eq!(prepended.segments().len(), 2);
         assert_eq!(prepended.neighbor(), Some(Asn(7)));
+    }
+
+    #[test]
+    fn clones_share_one_path_and_prepend_builds_a_new_one() {
+        let path = seq(&[3356, 65001]);
+        let copy = path.clone();
+        assert!(Arc::ptr_eq(&path.segments, &copy.segments));
+        let longer = copy.prepend(Asn(174));
+        assert_eq!(path, seq(&[3356, 65001]));
+        assert_eq!(longer, seq(&[174, 3356, 65001]));
     }
 
     #[test]

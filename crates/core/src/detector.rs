@@ -375,6 +375,18 @@ impl Detector {
         })
     }
 
+    /// Every shard's owned prefix with the events routed to it, in
+    /// shard order: configuration order, then onboarding order, except
+    /// that offboarding a prefix moves the last shard into its slot.
+    /// The live rules, so a dormant prefix that mitigation activated
+    /// reads as not dormant.
+    pub fn owned_shards(&self) -> impl Iterator<Item = (&OwnedPrefix, u64)> + '_ {
+        self.rules
+            .iter()
+            .zip(&self.shards)
+            .map(|(rules, shard)| (&rules.owned, shard.events))
+    }
+
     /// Events routed to the shard owning exactly `owned`, if any.
     pub fn shard_events(&self, owned: Prefix) -> Option<u64> {
         self.routing.flat.get(owned).map(|i| self.shards[*i].events)

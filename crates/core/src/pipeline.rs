@@ -174,7 +174,6 @@ pub struct Pipeline {
     route_buf: Vec<AlertId>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
-    config: ArtemisConfig,
     mitigated: BTreeSet<AlertId>,
     /// Compact records of incidents that are over (resolved, or closed
     /// by offboarding). Their full monitors are retired on resolution,
@@ -209,13 +208,12 @@ impl Pipeline {
         Pipeline {
             hub,
             detector: Detector::new(config.clone()),
-            mitigator: Mitigator::new(config.clone()),
+            mitigator: Mitigator::new(config),
             monitors: BTreeMap::new(),
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
             vantage_points,
-            config,
             mitigated: BTreeSet::new(),
             retired: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -285,12 +283,6 @@ impl Pipeline {
         &self.mitigator
     }
 
-    /// The operator configuration as currently in force (kept current
-    /// across runtime onboarding/offboarding).
-    pub fn config(&self) -> &ArtemisConfig {
-        &self.config
-    }
-
     /// The live monitor attached to an *active* alert, if any. Once
     /// the incident is over the monitor retires — see
     /// [`Pipeline::retired_monitor`].
@@ -357,17 +349,15 @@ impl Pipeline {
         policy: Option<MitigationPolicy>,
         now: SimTime,
     ) -> bool {
-        if !self.detector.add_shard(owned.clone()) {
+        let prefix = owned.prefix;
+        if !self.detector.add_shard(owned) {
             return false;
         }
         if let Some(p) = policy {
-            self.mitigator.set_policy(owned.prefix, p);
+            self.mitigator.set_policy(prefix, p);
         }
-        self.log.push(IncidentEvent::PrefixOnboarded {
-            prefix: owned.prefix,
-            at: now,
-        });
-        self.config.owned.push(owned);
+        self.log
+            .push(IncidentEvent::PrefixOnboarded { prefix, at: now });
         true
     }
 
@@ -387,7 +377,6 @@ impl Pipeline {
         helper_controllers: &mut [Controller],
     ) -> Option<OffboardReport> {
         let removed = self.detector.remove_shard(prefix)?;
-        self.config.owned.retain(|o| o.prefix != prefix);
         self.mitigator.clear_policy(prefix);
         let mut closed_alerts = Vec::new();
         let mut withdrawn_plans = 0usize;

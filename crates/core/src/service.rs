@@ -37,6 +37,7 @@ use artemis_controller::Controller;
 use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -185,7 +186,7 @@ impl std::error::Error for ServiceError {}
 pub enum ServiceQuery {
     /// The full snapshot.
     Status,
-    /// Only the owned-prefix table.
+    /// Only the owned-prefix table (rows as in [`ServiceStatus::owned`]).
     OwnedPrefixes,
     /// Only the incident table.
     Incidents,
@@ -218,7 +219,10 @@ pub struct ServiceStatus {
     pub events_delivered: u64,
     /// Total incident events recorded (retained or evicted).
     pub events_recorded: u64,
-    /// The owned-prefix table with per-shard state.
+    /// The owned-prefix table with per-shard state: one row per owned
+    /// prefix, in the detector's shard order. That is configuration
+    /// order with onboarded prefixes appended, except that offboarding
+    /// a prefix moves the last row into the freed position.
     pub owned: Vec<PrefixStatus>,
     /// Every incident (open and resolved), in alert-raise order.
     pub incidents: Vec<IncidentStatus>,
@@ -233,7 +237,8 @@ pub struct PrefixStatus {
     pub prefix: Prefix,
     /// ASNs allowed to originate it.
     pub legitimate_origins: Vec<Asn>,
-    /// True for owned-but-unannounced (squatting detection) prefixes.
+    /// True for owned-but-unannounced (squatting detection) prefixes;
+    /// false once a mitigation has started announcing the prefix.
     pub dormant: bool,
     /// The mitigation policy in force.
     pub policy: MitigationPolicy,
@@ -487,24 +492,26 @@ impl ArtemisService {
         }
     }
 
+    /// Rows in shard order (see [`ServiceStatus::owned`]). One pass over
+    /// the alerts counts the open ones per prefix, so the table costs
+    /// O(fleet + alerts).
     fn prefix_table(&self) -> Vec<PrefixStatus> {
         let detector = self.pipeline.detector();
-        self.pipeline
-            .config()
-            .owned
-            .iter()
-            .map(|o| PrefixStatus {
+        let mut open_alerts: BTreeMap<Prefix, usize> = BTreeMap::new();
+        for a in detector.alerts().all() {
+            if a.state != AlertState::Resolved {
+                *open_alerts.entry(a.owned_prefix).or_default() += 1;
+            }
+        }
+        detector
+            .owned_shards()
+            .map(|(o, shard_events)| PrefixStatus {
                 prefix: o.prefix,
                 legitimate_origins: o.legitimate_origins.iter().copied().collect(),
                 dormant: o.dormant,
                 policy: self.pipeline.mitigation_policy(o.prefix),
-                shard_events: detector.shard_events(o.prefix).unwrap_or(0),
-                open_alerts: detector
-                    .alerts()
-                    .all()
-                    .iter()
-                    .filter(|a| a.owned_prefix == o.prefix && a.state != AlertState::Resolved)
-                    .count(),
+                shard_events,
+                open_alerts: open_alerts.get(&o.prefix).copied().unwrap_or(0),
             })
             .collect()
     }
@@ -806,6 +813,27 @@ mod tests {
         );
     }
 
+    fn onboard(svc: &mut ArtemisService, prefix: &str, at: u64) {
+        svc.apply(
+            ServiceCommand::AddOwnedPrefix {
+                owned: OwnedPrefix::new(pfx(prefix), Asn(65001)),
+                policy: Some(MitigationPolicy::ConfirmFirst),
+            },
+            SimTime::from_secs(at),
+        )
+        .unwrap();
+    }
+
+    fn offboard(svc: &mut ArtemisService, prefix: &str, at: u64) {
+        svc.apply(
+            ServiceCommand::RemoveOwnedPrefix {
+                prefix: pfx(prefix),
+            },
+            SimTime::from_secs(at),
+        )
+        .unwrap();
+    }
+
     #[test]
     fn status_snapshot_is_owned_and_serializable() {
         let mut svc = service();
@@ -817,19 +845,44 @@ mod tests {
             SimTime::from_secs(1),
         )
         .unwrap();
+        onboard(&mut svc, "172.16.0.0/23", 1);
+        onboard(&mut svc, "192.168.0.0/23", 1);
         svc.deliver(&event(174, "10.0.0.0/23", &[174, 666], 45));
+        // Two alerts on one prefix, one on another, and one that
+        // offboarding closes: the re-onboarded prefix has none open.
+        svc.deliver(&event(3356, "10.0.1.0/24", &[3356, 666], 46));
+        svc.deliver(&event(174, "172.16.0.0/23", &[174, 777], 47));
+        svc.deliver(&event(174, "192.168.0.0/23", &[174, 888], 48));
+        offboard(&mut svc, "192.168.0.0/23", 49);
+        onboard(&mut svc, "192.168.0.0/23", 49);
 
         let status = svc.status(SimTime::from_secs(50));
-        assert_eq!(status.owned.len(), 1);
-        assert_eq!(status.owned[0].policy, MitigationPolicy::ConfirmFirst);
-        assert_eq!(status.owned[0].open_alerts, 1);
-        assert_eq!(status.incidents.len(), 1);
+        let open: Vec<(Prefix, usize)> = status
+            .owned
+            .iter()
+            .map(|row| (row.prefix, row.open_alerts))
+            .collect();
+        assert_eq!(
+            open,
+            vec![
+                (pfx("10.0.0.0/23"), 2),
+                (pfx("172.16.0.0/23"), 1),
+                (pfx("192.168.0.0/23"), 0),
+            ]
+        );
+        assert!(status
+            .owned
+            .iter()
+            .all(|row| row.policy == MitigationPolicy::ConfirmFirst));
+        assert_eq!(status.incidents.len(), 4);
         assert_eq!(
             status.incidents[0].phase,
             MitigationPhase::PendingConfirmation
         );
+        assert_eq!(status.incidents[3].phase, MitigationPhase::Resolved);
+        // Both vantage points saw 10.0.0.0/23's space hijacked.
         let monitor = status.incidents[0].monitor.expect("monitor per alert");
-        assert_eq!(monitor.hijacked, 1);
+        assert_eq!(monitor.hijacked, 2);
 
         // Owned + serializable: the whole snapshot round-trips to JSON.
         let json = serde_json::to_string(&status).unwrap();
@@ -842,6 +895,55 @@ mod tests {
             panic!("wrong reply variant");
         };
         assert_eq!(incidents, status.incidents);
+        let ServiceReply::OwnedPrefixes(owned) =
+            svc.query(ServiceQuery::OwnedPrefixes, SimTime::from_secs(50))
+        else {
+            panic!("wrong reply variant");
+        };
+        assert_eq!(owned, status.owned);
+    }
+
+    #[test]
+    fn prefix_table_lists_exactly_the_live_fleet_after_churn() {
+        let mut svc = service();
+        // Model: each live prefix and the events routed to its shard.
+        let mut live: BTreeMap<Prefix, u64> = BTreeMap::from([(pfx("10.0.0.0/23"), 0)]);
+        let name = |i: usize| format!("172.16.{i}.0/24");
+        for i in 0..16 {
+            onboard(&mut svc, &name(i), 1);
+            // Legitimate announcements, a different count per prefix so
+            // a row that lost track of its shard shows.
+            for _ in 0..=i {
+                svc.deliver(&event(174, &name(i), &[174, 65001], 10));
+            }
+            live.insert(pfx(&name(i)), i as u64 + 1);
+        }
+        // Front, middle, last and configuration-time prefixes, then a
+        // re-onboard that starts from a fresh shard.
+        for (i, prefix) in [name(0), name(7), name(15), "10.0.0.0/23".into(), name(8)]
+            .iter()
+            .enumerate()
+        {
+            offboard(&mut svc, prefix, 20 + i as u64);
+            live.remove(&pfx(prefix));
+        }
+        onboard(&mut svc, &name(7), 30);
+        live.insert(pfx(&name(7)), 0);
+
+        let status = svc.status(SimTime::from_secs(40));
+        let rows: BTreeMap<Prefix, u64> = status
+            .owned
+            .iter()
+            .map(|row| (row.prefix, row.shard_events))
+            .collect();
+        assert_eq!(status.owned.len(), live.len(), "no duplicate rows");
+        assert_eq!(rows, live);
+        let ServiceReply::OwnedPrefixes(owned) =
+            svc.query(ServiceQuery::OwnedPrefixes, SimTime::from_secs(40))
+        else {
+            panic!("wrong reply variant");
+        };
+        assert_eq!(owned, status.owned);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which monitoring system produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -52,8 +53,9 @@ pub struct FeedEvent {
     pub observed_at: SimTime,
     /// Producing system.
     pub source: FeedKind,
-    /// Collector / LG identifier (e.g. `rrc00`, `lg-03`).
-    pub collector: String,
+    /// Collector / LG identifier (e.g. `rrc00`, `lg-03`), shared by
+    /// every event of that collector: cloning it copies a pointer.
+    pub collector: Arc<str>,
     /// The vantage-point AS.
     pub vantage: Asn,
     /// Affected prefix.

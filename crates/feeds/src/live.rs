@@ -16,7 +16,7 @@
 use crate::event::{FeedEvent, FeedKind};
 use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView};
-use artemis_bgp::{Asn, BgpMessage};
+use artemis_bgp::{AsPath, Asn, BgpMessage, UpdateMessage};
 use artemis_bgpsim::RouteChange;
 use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader};
 use artemis_simnet::{SimRng, SimTime};
@@ -133,7 +133,8 @@ pub struct LiveFeedStats {
 /// A live RFC 7854 BMP session as a [`FeedSource`]. See the module
 /// docs for the architecture.
 pub struct BmpLiveFeed {
-    name: String,
+    /// The session's name, shared by every event it decodes.
+    name: Arc<str>,
     ring: Arc<BackpressureRing<FeedEvent>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -147,7 +148,7 @@ pub struct BmpLiveFeed {
 impl BmpLiveFeed {
     /// Wrap an already-connected stream (loopback tests, benches).
     pub fn from_stream(name: impl Into<String>, stream: TcpStream, config: LiveFeedConfig) -> Self {
-        Self::start(name.into(), ConnectMode::Stream(stream), config)
+        Self::start(Arc::from(name.into()), ConnectMode::Stream(stream), config)
     }
 
     /// Connect to `addr` from a background thread, retrying until the
@@ -161,10 +162,14 @@ impl BmpLiveFeed {
         addr: impl Into<String>,
         config: LiveFeedConfig,
     ) -> Self {
-        Self::start(name.into(), ConnectMode::Addr(addr.into()), config)
+        Self::start(
+            Arc::from(name.into()),
+            ConnectMode::Addr(addr.into()),
+            config,
+        )
     }
 
-    fn start(name: String, mode: ConnectMode, config: LiveFeedConfig) -> Self {
+    fn start(name: Arc<str>, mode: ConnectMode, config: LiveFeedConfig) -> Self {
         let ring = Arc::new(BackpressureRing::new(config.ring_capacity));
         let counters = Arc::new(LiveCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -172,7 +177,7 @@ impl BmpLiveFeed {
             let ring = Arc::clone(&ring);
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            let collector = name.clone();
+            let collector = Arc::clone(&name);
             std::thread::Builder::new()
                 .name(format!("bmp-live-{name}"))
                 .spawn(move || reader_main(mode, config, collector, ring, counters, shutdown))
@@ -366,7 +371,7 @@ fn sleep_with_shutdown(total: Duration, shutdown: &AtomicBool) {
 fn reader_main(
     mode: ConnectMode,
     config: LiveFeedConfig,
-    collector: String,
+    collector: Arc<str>,
     ring: Arc<BackpressureRing<FeedEvent>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -416,7 +421,7 @@ fn reader_main(
 fn stream_session(
     mut stream: TcpStream,
     config: &LiveFeedConfig,
-    collector: &str,
+    collector: &Arc<str>,
     ring: &BackpressureRing<FeedEvent>,
     counters: &LiveCounters,
     shutdown: &AtomicBool,
@@ -447,8 +452,19 @@ fn stream_session(
         loop {
             match asm.next_message() {
                 Ok(Some(raw)) => match raw.decode() {
-                    Ok(BmpMessage::RouteMonitoring { peer, update }) => {
-                        events_from_update(collector, &peer, &update, config, counters, &mut batch);
+                    Ok(BmpMessage::RouteMonitoring {
+                        peer,
+                        update: BgpMessage::Update(u),
+                    }) => {
+                        let decoded = u.withdrawn.len() + u.nlri.len();
+                        counters
+                            .decoded
+                            .fetch_add(decoded as u64, Ordering::Relaxed);
+                        let filtered =
+                            update_events(collector, &peer, &u, config.filter.as_ref(), &mut batch);
+                        if filtered > 0 {
+                            counters.filtered.fetch_add(filtered, Ordering::Relaxed);
+                        }
                     }
                     Ok(BmpMessage::StatsReport { peer, stats }) => {
                         let mut health = counters.peer_health.lock().expect("peer health");
@@ -502,50 +518,52 @@ fn stream_session(
     }
 }
 
-/// Expand one route-monitoring UPDATE into per-prefix feed events,
-/// filter them, and append survivors to `batch`.
-fn events_from_update(
-    collector: &str,
+/// Expand one route-monitoring UPDATE from `peer` into per-prefix feed
+/// events (withdrawals first, then announcements), drop those that fail
+/// `filter`, and append the rest to `out`. Returns how many were
+/// filtered out.
+///
+/// Every event shares `collector` and the UPDATE's one AS path, so the
+/// expansion allocates nothing per prefix beyond the growth of `out`:
+/// the reader thread that decodes and the pump thread that drops the
+/// events touch the heap at most once per UPDATE.
+pub fn update_events(
+    collector: &Arc<str>,
     peer: &PeerHeader,
-    update: &BgpMessage,
-    config: &LiveFeedConfig,
-    counters: &LiveCounters,
-    batch: &mut Vec<FeedEvent>,
-) {
-    let BgpMessage::Update(u) = update else {
-        return; // decode() already guarantees this
-    };
+    update: &UpdateMessage,
+    filter: Option<&FeedFilter>,
+    out: &mut Vec<FeedEvent>,
+) -> u64 {
     let observed = SimTime::from_micros(peer.timestamp_micros());
-    let path = u.attrs.as_ref().map(|a| a.as_path.clone());
-    let origin = u.attrs.as_ref().and_then(|a| a.origin_as());
-    let mut push = |prefix, as_path, origin_as| {
-        counters.decoded.fetch_add(1, Ordering::Relaxed);
+    let path = update.attrs.as_ref().map(|a| &a.as_path);
+    let origin = update.attrs.as_ref().and_then(|a| a.origin_as());
+    let mut filtered = 0;
+    let mut push = |prefix, as_path: Option<&AsPath>, origin_as| {
         let ev = FeedEvent {
             // Placeholder until `poll` stamps the true emission
             // instant; observation is the collector's wire timestamp.
             emitted_at: observed,
             observed_at: observed,
             source: FeedKind::BmpLive,
-            collector: collector.to_string(),
+            collector: Arc::clone(collector),
             vantage: peer.peer_as,
             prefix,
-            as_path,
+            as_path: as_path.cloned(),
             origin_as,
             raw: None,
         };
-        match &config.filter {
-            Some(f) if !f.matches(&ev) => {
-                counters.filtered.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => batch.push(ev),
+        match filter {
+            Some(f) if !f.matches(&ev) => filtered += 1,
+            _ => out.push(ev),
         }
     };
-    for prefix in &u.withdrawn {
+    for prefix in &update.withdrawn {
         push(*prefix, None, None);
     }
-    for prefix in &u.nlri {
-        push(*prefix, path.clone(), origin);
+    for prefix in &update.nlri {
+        push(*prefix, path, origin);
     }
+    filtered
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use artemis_bgp::Asn;
 use artemis_bgpsim::RouteChange;
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A streaming collector network (RIS-live or BGPmon flavour).
 ///
@@ -16,8 +17,8 @@ use std::collections::BTreeMap;
 pub struct StreamFeed {
     kind: FeedKind,
     name: String,
-    /// collector name -> peers
-    collectors: BTreeMap<String, Vec<Asn>>,
+    /// collector name -> peers (each name shared by its events)
+    collectors: BTreeMap<Arc<str>, Vec<Asn>>,
     export_delay: LatencyModel,
     /// Events dropped by an (optional) outage window.
     outage: Option<(SimTime, SimTime)>,
@@ -36,7 +37,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::RisLive,
             name: "ris-live".into(),
-            collectors,
+            collectors: shared_names(collectors),
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(8),
                 sigma: 0.6,
@@ -53,7 +54,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::BgpMon,
             name: "bgpmon".into(),
-            collectors,
+            collectors: shared_names(collectors),
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(15),
                 sigma: 0.5,
@@ -120,6 +121,13 @@ impl StreamFeed {
     }
 }
 
+fn shared_names(collectors: BTreeMap<String, Vec<Asn>>) -> BTreeMap<Arc<str>, Vec<Asn>> {
+    collectors
+        .into_iter()
+        .map(|(name, peers)| (name.into(), peers))
+        .collect()
+}
+
 impl FeedSource for StreamFeed {
     fn kind(&self) -> FeedKind {
         self.kind
@@ -160,7 +168,7 @@ impl FeedSource for StreamFeed {
                 emitted_at: change.time + delay,
                 observed_at: change.time,
                 source: self.kind,
-                collector: collector.clone(),
+                collector: Arc::clone(collector),
                 vantage: change.asn,
                 prefix: change.prefix,
                 as_path,
